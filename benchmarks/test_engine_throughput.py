@@ -6,8 +6,7 @@ Pins the simulator's event-dispatch rate so engine regressions are
 * **Engine core** — a synthetic schedule shaped like the simulator's
   hot loop (dense same-cycle bursts plus short timer chains from ~64
   components: issue ticks, L1 latencies, NoC deliveries, DRAM wakes),
-  driven through both scheduling forms: ``at``/``after`` closures and
-  the closure-free ``at_call``/``after_call`` fast path.
+  driven through the engine's one scheduling call, ``at(time, fn, arg)``.
 
 * **Valley-suite hot loop** — an end-to-end run of valley benchmarks
   under the BASE scheme, reporting events/sec, simulated cycles/sec
@@ -31,8 +30,8 @@ import time
 from pathlib import Path
 
 from repro.core.address_map import hynix_gddr5_map
-from repro.core.schemes import build_scheme
 from repro.sim.engine import Engine
+from repro.registry import make_scheme
 from repro.sim.gpu_system import GPUSystem
 from repro.workloads.suite import build_workload
 
@@ -64,29 +63,18 @@ VALLEY_LOOP = ("MT", "LU", "SC")
 VALLEY_SCALE = 0.25
 
 
-def _drive_closures(engine: Engine, budget: list) -> None:
-    def tick():
-        budget[0] -= 1
-        if budget[0] > 0:
-            engine.after(DELAYS[budget[0] % len(DELAYS)], tick)
+def _engine_core_rate() -> dict:
+    engine = Engine()
+    budget = [N_EVENTS]
 
-    for chain in range(N_CHAINS):
-        engine.at(chain % 7, tick)
-
-
-def _drive_at_call(engine: Engine, budget: list) -> None:
     def tick(arg):
         budget[0] -= 1
         if budget[0] > 0:
-            engine.after_call(DELAYS[budget[0] % len(DELAYS)], tick, arg)
+            delay = DELAYS[budget[0] % len(DELAYS)]
+            engine.at(engine.now + delay, tick, arg)
 
     for chain in range(N_CHAINS):
-        engine.at_call(chain % 7, tick, chain)
-
-
-def _engine_core_rate(driver) -> dict:
-    engine = Engine()
-    driver(engine, [N_EVENTS])
+        engine.at(chain % 7, tick, chain)
     start = time.perf_counter()
     engine.run()
     wall = time.perf_counter() - start
@@ -104,7 +92,7 @@ def _valley_loop_rate() -> dict:
     per_bench = {}
     for bench in VALLEY_LOOP:
         workload = build_workload(bench, scale=VALLEY_SCALE)
-        system = GPUSystem(build_scheme("BASE", amap))
+        system = GPUSystem(make_scheme("BASE", amap))
         start = time.perf_counter()
         result = system.run(workload)
         elapsed = time.perf_counter() - start
@@ -128,13 +116,12 @@ def _valley_loop_rate() -> dict:
 
 
 def test_engine_throughput():
-    closure = _engine_core_rate(_drive_closures)
-    at_call = _engine_core_rate(_drive_at_call)
+    core = _engine_core_rate()
     valley = _valley_loop_rate()
 
     report = {
         "bench": "engine_throughput",
-        "engine_core": {"closure_api": closure, "at_call_api": at_call},
+        "engine_core": core,
         "valley_loop": valley,
         "reference_pre_rewrite": REFERENCE,
     }
@@ -144,6 +131,5 @@ def test_engine_throughput():
     print()
     print(json.dumps(report, indent=2, sort_keys=True))
 
-    assert closure["events_per_sec"] >= MIN_ENGINE_CORE_EVENTS_PER_SEC
-    assert at_call["events_per_sec"] >= MIN_ENGINE_CORE_EVENTS_PER_SEC
+    assert core["events_per_sec"] >= MIN_ENGINE_CORE_EVENTS_PER_SEC
     assert valley["events_per_sec"] >= MIN_VALLEY_EVENTS_PER_SEC

@@ -70,7 +70,7 @@ class MemoryController:
         self._inflight = 0
         self._max_inflight = max_inflight
         self._wake_scheduled_at: Optional[int] = None
-        # Pre-bound for the engine's closure-free scheduling fast path.
+        # Pre-bound so scheduling an event allocates nothing.
         self._wake_cb = self._wake
         self._data_done_cb = self._data_done
         # Statistics.
@@ -156,7 +156,7 @@ class MemoryController:
             self.reads += 1
         self.queue_wait_total += max(0, now - request.arrival)
         self._inflight += 1
-        self._engine.at_call(data_end, self._data_done_cb, request)
+        self._engine.at(data_end, self._data_done_cb, request)
         # The bank frees at column_cmd + tCCD which may be < data_end;
         # try to issue more work then.  With nothing queued there is
         # nothing to issue — the next submit wakes the pump itself.
@@ -180,48 +180,16 @@ class MemoryController:
         *banks*/*rows* are the per-request coordinates in replay
         order; *n_reads*/*n_writes* split the stream by direction for
         the read/write energy counters.  Each bank's sub-stream (order
-        preserved) is replayed through its row-buffer state machine,
-        so activate/hit/conflict counters and the open rows stay
-        integrated across fast-forwarded work.  Queues, timing and the
-        data bus are untouched — no simulated cycles elapse.
-        """
-        banks = np.asarray(banks)
-        rows = np.asarray(rows)
-        if len(banks) != len(rows):
-            raise ValueError(
-                f"bank/row replay arrays disagree on length: "
-                f"{len(banks)}/{len(rows)}"
-            )
-        if len(banks):
-            order = np.argsort(banks, kind="stable")
-            sorted_banks = banks[order]
-            sorted_rows = rows[order]
-            boundaries = np.flatnonzero(sorted_banks[1:] != sorted_banks[:-1]) + 1
-            start = 0
-            for end in [*boundaries.tolist(), len(sorted_banks)]:
-                self.banks[int(sorted_banks[start])].replay_rows(
-                    sorted_rows[start:end]
-                )
-                start = end
-        self.reads += n_reads
-        self.writes += n_writes
-        self.requests_seen += n_reads + n_writes
-        # Account the bursts the transfers would have occupied, so
-        # bandwidth_utilization stays meaningful against extrapolated
-        # cycle counts.
-        self.busy_cycles += (n_reads + n_writes) * self._timing.t_burst
-
-    def replay_traffic_vector(
-        self, banks, rows, n_reads: int, n_writes: int
-    ) -> None:
-        """Vectorized :meth:`replay_traffic` (counter-identical).
+        preserved) drives its row-buffer state, so activate/hit/
+        conflict counters and the open rows stay integrated across
+        fast-forwarded work.  Queues, timing and the data bus are
+        untouched — no simulated cycles elapse.
 
         One stable argsort groups the stream by bank; per-bank row
-        transitions are counted with a single whole-channel ``np.diff``
-        comparison (transitions at segment starts masked off), and each
-        present bank applies its summary via
-        :meth:`~repro.dram.bank.Bank.replay_rows_summary`.  Leaves
-        every counter and open row exactly as the scalar pass would.
+        transitions are counted with a single whole-channel comparison
+        (transitions at segment starts masked off), and each present
+        bank applies its summary via
+        :meth:`~repro.dram.bank.Bank.replay_rows_summary`.
         """
         banks = np.asarray(banks)
         rows = np.asarray(rows)
@@ -255,6 +223,9 @@ class MemoryController:
         self.reads += n_reads
         self.writes += n_writes
         self.requests_seen += n_reads + n_writes
+        # Account the bursts the transfers would have occupied, so
+        # bandwidth_utilization stays meaningful against extrapolated
+        # cycle counts.
         self.busy_cycles += (n_reads + n_writes) * self._timing.t_burst
 
     def _wake_at(self, time: int) -> None:
@@ -262,9 +233,9 @@ class MemoryController:
         if self._wake_scheduled_at is not None and self._wake_scheduled_at <= time:
             return
         self._wake_scheduled_at = time
-        self._engine.at(time, self._wake_cb)
+        self._engine.at(time, self._wake_cb, None)
 
-    def _wake(self) -> None:
+    def _wake(self, _arg: object) -> None:
         # Only the event matching the marker may clear it; stale events
         # (superseded by an earlier wake) must not, or every stale event
         # would re-arm a duplicate and wakes would multiply.

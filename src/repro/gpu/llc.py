@@ -62,7 +62,7 @@ class LLCSlice:
         self.mshr = MSHRFile(config.llc_mshrs_per_slice, name=f"LLC-MSHR[{slice_id}]")
         self._stalled: Deque[MemRequest] = deque()
         self.outstanding = 0  # reads in flight at this slice
-        # Pre-bound for the engine's closure-free scheduling fast path.
+        # Pre-bound so scheduling a response allocates nothing.
         self._respond_cb = self._respond
 
     # ------------------------------------------------------------------
@@ -72,8 +72,9 @@ class LLCSlice:
         """A read request arrived at this slice."""
         self.outstanding += 1
         if self.cache.try_read(request.line):
-            self._engine.after_call(
-                self._config.llc_latency, self._respond_cb, request
+            self._engine.at(
+                self._engine.now + self._config.llc_latency,
+                self._respond_cb, request,
             )
             return
         self.cache.stats.count_miss(is_write=False)
@@ -113,8 +114,9 @@ class LLCSlice:
         while self._stalled and not self.mshr.full:
             waiting = self._stalled.popleft()
             if self.cache.try_read(waiting.line):
-                self._engine.after_call(
-                    self._config.llc_latency, self._respond_cb, waiting
+                self._engine.at(
+                    self._engine.now + self._config.llc_latency,
+                    self._respond_cb, waiting,
                 )
             else:
                 self._allocate_and_fetch(waiting)
@@ -122,22 +124,6 @@ class LLCSlice:
     def _respond(self, request: MemRequest) -> None:
         self.outstanding -= 1
         self._send_response(request)
-
-    # ------------------------------------------------------------------
-    # Sampled-fidelity fast-forward
-    # ------------------------------------------------------------------
-    def warm_many(self, lines, writes, set_ids=None):
-        """Functionally replay post-L1 accesses through this slice.
-
-        The bulk no-engine path of the sampled-fidelity mode: tags,
-        LRU and hit/miss counters are updated as if the accesses had
-        been simulated, without scheduling any events.  Returns
-        ``(read_miss_positions, writeback_lines)`` — the DRAM traffic
-        the replayed accesses would have generated (read fetches plus
-        dirty victim writebacks), for the caller to replay through the
-        DRAM row state.
-        """
-        return self.cache.warm_back_many(lines, writes, set_ids=set_ids)
 
     # ------------------------------------------------------------------
     # Statistics

@@ -26,10 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Crossbar", "NoCStats"]
 
-# "No payload" marker for send(): distinguishes an omitted arg from a
-# legitimate None payload.
-_NO_ARG = object()
-
 
 class NoCStats:
     """Latency and traffic accounting for one crossbar."""
@@ -81,16 +77,13 @@ class Crossbar:
         source: int,
         destination: int,
         flits: int,
-        on_delivered: Callable[..., None],
-        arg: object = _NO_ARG,
+        on_delivered: Callable[[object], None],
+        arg: object,
     ) -> int:
-        """Inject a packet; *on_delivered* fires at the destination.
+        """Inject a packet; ``on_delivered(arg)`` fires at the destination.
 
         Returns the delivery time.  *source* is validated but (being a
-        crossbar) does not contend — only output ports queue.  When
-        *arg* is given, delivery invokes ``on_delivered(arg)`` through
-        the engine's closure-free fast path (no lambda per packet);
-        otherwise ``on_delivered()``.
+        crossbar) does not contend — only output ports queue.
         """
         if not 0 <= source < self.n_inputs:
             raise ValueError(f"{self.name}: source port {source} out of range")
@@ -104,10 +97,7 @@ class Crossbar:
         self._port_free_at[destination] = done
         delivery = done + self._base_latency
         self.stats.record(delivery - now, flits)
-        if arg is _NO_ARG:
-            self._engine.at(delivery, on_delivered)
-        else:
-            self._engine.at_call(delivery, on_delivered, arg)
+        self._engine.at(delivery, on_delivered, arg)
         return delivery
 
     def port_backlog(self, destination: int) -> int:

@@ -77,7 +77,7 @@ class SM:
         """*send_read* forwards an L1 miss; *send_write* takes
         ``(sm, slice_id, line, on_accepted, arg)`` for write-through
         stores — ``on_accepted(arg)`` fires when the store is accepted
-        downstream (closure-free, like the engine's ``at_call``)."""
+        downstream (closure-free, like the engine's ``at``)."""
         self._engine = engine
         self._config = config
         self.sm_id = sm_id
@@ -94,8 +94,8 @@ class SM:
         # Warps parked on a full MSHR file; on_fill retries them.
         self._stalled: Deque[WarpContext] = deque()
         self._tick_armed = False
-        # Pre-bound callbacks: scheduling through the engine's
-        # closure-free API then allocates nothing per event.
+        # Pre-bound callbacks: scheduling through the engine then
+        # allocates nothing per event.
         self._tick_cb = self._tick
         self._warp_ready_cb = self._warp_ready
         self._op_completed_cb = self._op_completed
@@ -175,7 +175,7 @@ class SM:
         warp.issue_pending = True
         gap = warp.gaps[warp.op]
         if gap:
-            self._engine.after_call(gap, self._warp_ready_cb, warp)
+            self._engine.at(self._engine.now + gap, self._warp_ready_cb, warp)
         else:
             self._warp_ready(warp)
 
@@ -191,7 +191,7 @@ class SM:
         self._tick_armed = True
         now = self._engine.now
         free = self._port_free_at
-        self._engine.at_call(free if free > now else now, self._tick_cb, None)
+        self._engine.at(free if free > now else now, self._tick_cb, None)
 
     def _tick(self, _arg: object) -> None:
         """One issue-port slot: drain the oldest ready warp through it."""
@@ -237,8 +237,9 @@ class SM:
             return
         if self.l1.try_read(line):
             warp.outstanding += 1
-            self._engine.after_call(
-                self._config.l1_latency, self._op_completed_cb, warp
+            self._engine.at(
+                self._engine.now + self._config.l1_latency,
+                self._op_completed_cb, warp,
             )
             self._issued(warp)
             return
@@ -311,8 +312,9 @@ class SM:
         line = warp.lines[op]
         if self.l1.try_read(line):
             warp.outstanding += 1
-            self._engine.after_call(
-                self._config.l1_latency, self._op_completed_cb, warp
+            self._engine.at(
+                self._engine.now + self._config.l1_latency,
+                self._op_completed_cb, warp,
             )
             self._issued(warp)
             return
@@ -332,22 +334,6 @@ class SM:
                 issued_at=self._engine.now,
             ))
         self._issued(warp)
-
-    # ------------------------------------------------------------------
-    # Sampled-fidelity fast-forward
-    # ------------------------------------------------------------------
-    def warm_l1(self, lines, writes, set_ids=None):
-        """Functionally replay a warp's op stream through this SM's L1.
-
-        The L1-filter stage of the sampled-fidelity fast-forward: no
-        events, no warp state — just the tag/LRU/counter effects of
-        the accesses.  Returns the positions forwarded downstream
-        (read misses plus every write-through store), which the system
-        replays through the LLC slices.  ``instructions_issued`` is
-        untouched: it counts detailed issues only, so sampled-mode
-        rate measurement stays clean.
-        """
-        return self.l1.warm_through_many(lines, writes, set_ids=set_ids)
 
     def __repr__(self) -> str:
         return (

@@ -58,9 +58,9 @@ deleted and recomputed, never trusted.  The cache may be shared
 between concurrent processes.
 
 The ``.meta.json`` sidecar records wall seconds, engine event count
-and the schema version of each run; it feeds longest-job-first
-scheduling, progress/ETA reporting and ``repro cache ls / prune``, and
-is never required for correctness.  ``.claim`` markers implement the
+and the schema version of each run; it feeds progress/ETA reporting
+and ``repro cache ls / prune``, and is never required for
+correctness.  ``.claim`` markers implement the
 optional work-claim protocol (see :mod:`repro.runner.cache`).
 
 Worker configuration
@@ -73,10 +73,9 @@ default) runs inline in the calling process with no pool overhead.
 per CPU.  Each worker process keeps a
 :class:`~repro.runner.worker.RunContext` that memoizes workloads,
 schemes and the RMP suite entropy profile across the tasks it serves,
-so per-task setup cost amortizes away on large grids.  Misses are
-dispatched longest-job-first in batched futures (see
-:mod:`repro.runner.sweep`); pass ``schedule="fifo"`` to A/B the old
-submission order.
+so per-task setup cost amortizes away on large grids.  Each miss is
+one future, submitted in input order with at most ``N`` in flight
+(see :mod:`repro.runner.sweep`).
 
 Failure semantics
 -----------------
@@ -103,8 +102,8 @@ Determinism guarantees
 * ``run_many`` returns results in **input order**, not completion
   order, and grids expand in a fixed documented order (benchmarks
   outermost, then schemes / seeds / SM counts / memories).
-  Longest-job-first scheduling and claim stealing only reorder
-  *execution*, never output.
+  Completion order and claim stealing only reorder *execution*,
+  never output.
 * Shard partitions (:class:`~repro.runner.shard.ShardSpec`) are
   pairwise disjoint, cover the grid, and are stable across
   re-invocations; ``repro merge`` rebuilds the full report through the
@@ -146,7 +145,6 @@ from .sweep import (
     coerce_workers,
     default_workers,
     estimate_runtimes,
-    plan_buckets,
 )
 from .worker import RunContext, execute_config, execute_config_batch, process_context
 
@@ -179,7 +177,6 @@ __all__ = [
     "execute_config",
     "execute_config_batch",
     "merge_shard_reports",
-    "plan_buckets",
     "process_context",
     "render_report",
     "report_from_cache",

@@ -17,10 +17,10 @@ Each result record is one JSON object::
 The **metadata sidecar** is advisory: it records how the result was
 produced (wall seconds, engine events, the ``CACHE_SCHEMA_VERSION`` it
 was computed under, and the config axes that predict runtime) so the
-sweep runner can schedule cold configs longest-job-first and ``repro
-cache ls / prune`` can report and evict by schema version.  Results
-are always correct without sidecars — a missing or corrupt sidecar
-only degrades scheduling back to static estimates.
+sweep runner can estimate a progress ETA and ``repro cache ls /
+prune`` can report and evict by schema version.  Results are always
+correct without sidecars — a missing or corrupt sidecar only degrades
+the ETA back to static estimates.
 
 Writes are atomic (temp file + ``os.replace``) so a crashed or killed
 sweep can never leave a half-written record behind; a record that is

@@ -107,11 +107,13 @@ class FailurePolicy:
 
     ``max_retries`` bounds *re*-executions per config: a config is
     attempted at most ``1 + max_retries`` times before it is
-    quarantined.  ``timeout`` is the per-run wall-clock budget; a
-    batched future of *k* configs gets ``k * timeout`` (+ grace)
-    before the parent declares it hung, kills the worker pool and
-    retries the batch (pool mode only — inline execution cannot
-    interrupt itself).  Retries back off exponentially from
+    quarantined.  ``timeout`` is the per-run wall-clock budget: a
+    future gets ``timeout`` (+ grace) from its submission, which the
+    runner makes only when a worker is free, before the parent
+    declares it hung, kills the worker pool and retries it (pool mode
+    only — inline execution cannot interrupt itself).  A crash-
+    bisection probe of *k* configs runs as one future and gets
+    ``k * timeout`` (+ grace).  Retries back off exponentially from
     ``backoff_base`` with deterministic jitter derived from the config
     key, so concurrent sweeps sharing a cache never retry in lockstep
     but test runs reproduce exactly.
@@ -145,7 +147,8 @@ class FailurePolicy:
         return base * (1.0 + self.jitter * stable_fraction(f"{key}:retry:{attempt}"))
 
     def deadline_seconds(self, batch_size: int) -> Optional[float]:
-        """Wall budget of one batched future, or None when no timeout."""
+        """Wall budget of one future of *batch_size* configs, or None
+        when no timeout is set."""
         if self.timeout is None:
             return None
         return self.timeout * max(1, batch_size) + self.timeout_grace

@@ -17,19 +17,17 @@ it ran on 1 worker or 16 (and whether it was served cold or from
 cache): ordering is positional and every run is a deterministic pure
 function of its config.
 
-Scheduling
-----------
-Cold configs are dispatched **longest-job-first** (``schedule="ljf"``,
-the default): each miss gets a runtime estimate — recorded wall
-seconds from the cache's metadata sidecars when available, a static
-scale-based guess otherwise — and misses are packed longest-first into
-at most ``16 x workers`` futures by greedy LPT assignment (one job per
-future on small grids, batched on large ones to amortize executor
-IPC).  Long runs start first, which kills the straggler tail FIFO
-submission suffers from (the slowest config submitted last pins the
-whole sweep).  ``schedule="fifo"`` restores one-future-per-config
-submission in input order for A/B measurement.  Scheduling only
-reorders *execution*; reported results never change.
+Dispatch
+--------
+Each cold config becomes one pool future, submitted in input order.
+At most ``workers`` futures are in flight; the rest wait in a backlog
+and are submitted as running ones finish, so every future starts
+running when it is submitted and its timeout counts only its own run.
+When a progress callback is set, each miss also gets a runtime
+estimate (recorded wall seconds from the cache's metadata sidecars
+when available, a static scale-based guess otherwise) that feeds the
+ETA.  Dispatch order only decides *execution*; reported results never
+change.
 
 Failure semantics
 -----------------
@@ -37,12 +35,12 @@ The runner survives every failure class a real fleet hits, governed by
 a :class:`~repro.runner.faults.FailurePolicy`:
 
 * **Worker exceptions** never abort the sweep: the worker reports the
-  failing config individually (the rest of its batch completes), and
+  failing config individually (the rest of a probe batch completes), and
   the parent retries it with exponential backoff and deterministic
   jitter up to ``max_retries`` times before quarantining it.
 * **Worker death** (OOM kill, segfault — surfacing as
-  ``BrokenProcessPool``) rebuilds the pool automatically.  The dead
-  future's configs are *bisected*: re-run as halves, probed one group
+  ``BrokenProcessPool``) rebuilds the pool automatically.  The
+  in-flight configs are *bisected*: re-run as halves, probed one group
   at a time so the next crash pins blame precisely, until the poisoned
   config is isolated, charged, and eventually quarantined.  A global
   rebuild budget stops a crash-looping environment from spinning
@@ -111,7 +109,6 @@ __all__ = [
     "coerce_workers",
     "default_workers",
     "estimate_runtimes",
-    "plan_buckets",
 ]
 
 
@@ -224,7 +221,7 @@ class SweepOutcome:
 
 
 # Estimated seconds per unit of trace scale when the cache holds no
-# runtime metadata at all.  Only relative magnitudes matter for LJF.
+# runtime metadata at all.
 _FALLBACK_SECONDS_PER_SCALE = 1.0
 
 # Relative wall clock of each fidelity family against exact mode.
@@ -232,8 +229,8 @@ _FALLBACK_SECONDS_PER_SCALE = 1.0
 # exact-mode sidecar evidence grossly inflates their estimates (and
 # vice versa); when a config's own family has no recorded evidence,
 # cross-family rates are rescaled by this documented discount instead
-# of being used raw.  Deliberately coarse — estimates only order
-# execution and feed the ETA, never results.
+# of being used raw.  Deliberately coarse — estimates only feed the
+# ETA, never results.
 _FIDELITY_WALL_DISCOUNT = {"exact": 1.0, "sampled": 0.5, "auto": 0.5}
 
 
@@ -261,7 +258,7 @@ def estimate_runtimes(
     Sidecars recorded before the ``fidelity`` field existed are
     counted as exact — that is what produced them.
 
-    Pure and deterministic: estimates only influence execution order,
+    Pure and deterministic: estimates only feed the progress ETA,
     never results.
     """
     exact: Dict[Tuple[str, str, float, int, str, str], List[float]] = {}
@@ -327,27 +324,6 @@ def estimate_runtimes(
     return estimates
 
 
-def plan_buckets(estimates: Sequence[float], n_buckets: int) -> List[List[int]]:
-    """Greedy LPT packing of job indexes into at most *n_buckets* batches.
-
-    Jobs are taken longest-first and each goes to the least-loaded
-    bucket (ties to the lowest bucket index), so every bucket carries a
-    near-equal share of estimated work and the longest jobs lead their
-    batch.  Every index appears in exactly one bucket; empty buckets
-    are dropped.  Deterministic for fixed inputs.
-    """
-    n = len(estimates)
-    n_buckets = max(1, min(n, n_buckets))
-    order = sorted(range(n), key=lambda i: (-estimates[i], i))
-    buckets: List[List[int]] = [[] for _ in range(n_buckets)]
-    loads = [0.0] * n_buckets
-    for i in order:
-        target = min(range(n_buckets), key=lambda j: (loads[j], j))
-        buckets[target].append(i)
-        loads[target] += estimates[i]
-    return [bucket for bucket in buckets if bucket]
-
-
 @dataclass
 class _Flight:
     """One in-flight pool future: which configs, when, and its deadline."""
@@ -361,25 +337,11 @@ class _Flight:
 class SweepRunner:
     """Runs batches of configs with caching, parallelism and fault tolerance."""
 
-    # LJF gate: below this estimated total mass the grid is too light
-    # for longest-first packing to beat plain input-order submission
-    # (any packing of sub-second jobs finishes within estimate noise),
-    # so ``schedule="ljf"`` falls back to FIFO.  Cold caches estimate
-    # each config at roughly ``scale * n_sms`` seconds, so any grid
-    # with a handful of runs clears this comfortably.
-    _LJF_MIN_MASS_SECONDS = 2.0
-
-    # Futures per worker before misses are batched (see plan_buckets).
-    # A class attribute so fault tests can force multi-config batches
-    # on tiny grids.
-    _FUTURES_PER_WORKER = 16
-
     def __init__(
         self,
         workers: Optional[int] = None,
         cache_dir=None,
         context=None,
-        schedule: str = "ljf",
         claims: bool = False,
         claim_ttl: float = 1800.0,
         claim_poll: float = 0.25,
@@ -392,9 +354,9 @@ class SweepRunner:
         """*context* is the :class:`~repro.runner.worker.RunContext` used
         for inline execution (``workers <= 1``); it defaults to the
         process-wide one.  Pool workers always use their own process's
-        context.  See the module docstring for *schedule* and the claim
-        parameters; *progress* is called with a :class:`SweepProgress`
-        after every completed miss.  *policy* governs retries/timeouts
+        context.  See the module docstring for the claim parameters;
+        *progress* is called with a :class:`SweepProgress` after every
+        completed miss.  *policy* governs retries/timeouts
         (defaults to :class:`~repro.runner.faults.FailurePolicy`);
         *faults* is a fault-injection plan or spec string, defaulting
         to ``$REPRO_FAULT_INJECT`` so chaos runs need no plumbing.
@@ -406,8 +368,6 @@ class SweepRunner:
         pass an explicit directory to use one without the other (e.g.
         benchmarks that must re-execute results but still measure
         warmed-state reuse), or ``""`` to disable it."""
-        if schedule not in ("ljf", "fifo"):
-            raise ValueError(f"schedule must be 'ljf' or 'fifo', got {schedule!r}")
         self.workers = coerce_workers(workers) if workers is not None else 1
         self.policy = policy if policy is not None else FailurePolicy()
         self.faults = (
@@ -421,7 +381,6 @@ class SweepRunner:
             state_dir = str(Path(cache_dir) / "state")
         self.state_dir: Optional[str] = state_dir or None
         self.stats = SweepStats()
-        self.schedule = schedule
         self.claims = bool(claims) and self.cache is not None
         self.claim_ttl = float(claim_ttl)
         self.claim_poll = float(claim_poll)
@@ -599,9 +558,9 @@ class SweepRunner:
         use_pool = self.workers > 1 and (
             n > 1 or self.policy.timeout is not None
         )
-        # Estimates cost a sidecar scan; only pay it when something
-        # consumes them (LJF bucket planning or the ETA callback).
-        if self._progress is not None or (use_pool and self.schedule == "ljf"):
+        # Estimates cost a sidecar scan; only pay it when the ETA
+        # callback consumes them.
+        if self._progress is not None:
             estimates = self._estimates(configs)
         else:
             estimates = [0.0] * n
@@ -768,12 +727,20 @@ class SweepRunner:
                 return
             # Hung or wedged workers never drain the task queue, so a
             # plain shutdown would wait forever: terminate first.
-            for proc in list(getattr(pool, "_processes", {}).values() or []):
+            for proc in list((getattr(pool, "_processes", None) or {}).values()):
                 try:
                     proc.terminate()
                 except Exception:  # noqa: BLE001 — already-dead is fine
                     pass
+            # The executor's manager thread notices the dead workers and
+            # joins them; wait for it (bounded) so no worker outlives
+            # the sweep that killed it.  Joining them here instead
+            # would race that thread's own join.  (Read it first:
+            # shutdown drops the executor's reference.)
+            manager = getattr(pool, "_executor_manager_thread", None)
             pool.shutdown(wait=False, cancel_futures=True)
+            if manager is not None:
+                manager.join(timeout=5.0)
 
         def harvest_pending() -> List[_Flight]:
             """Collect finished futures' results; return unfinished flights."""
@@ -834,24 +801,9 @@ class SweepRunner:
             )
             return True
 
-        # -- initial submission ------------------------------------------
-        if self.schedule == "fifo" or (
-            sum(estimates) < self._LJF_MIN_MASS_SECONDS
-        ):
-            # A/B baseline, and the small-grid gate: one future per
-            # config, submitted in input order (the pre-LJF
-            # behaviour).  Below the mass threshold the jobs are so
-            # short that longest-first packing can only reshuffle
-            # near-equal work — estimate noise then decides the order,
-            # which is strictly worse than submitting as given.
-            buckets = [[i] for i in range(n)]
-        else:
-            # One job per future while grids are small (dynamic pulling
-            # then absorbs any estimate error); above ~16 futures per
-            # worker, batch to cap executor IPC.  Either way jobs are
-            # packed longest-first, so the heaviest runs start first.
-            buckets = plan_buckets(estimates, self.workers * self._FUTURES_PER_WORKER)
-        backlog.extend(buckets)
+        # One future per config, in input order; the loop below keeps
+        # at most ``workers`` of them in flight.
+        backlog.extend([i] for i in range(n))
 
         # -- orchestration loop ------------------------------------------
         while True:
@@ -870,12 +822,18 @@ class SweepRunner:
                     if not submit(group, probe=True):
                         probe_queue.appendleft(group)
             else:
-                while backlog:
+                # A future submitted beyond the worker count would
+                # queue inside the executor with its deadline already
+                # running; it waits in the backlog instead.
+                while backlog and len(pending) < self.workers:
                     group = backlog.popleft()
                     if not submit(group):
                         backlog.appendleft(group)
                         break
-                while retry_heap and retry_heap[0][0] <= now:
+                while (
+                    retry_heap and retry_heap[0][0] <= now
+                    and len(pending) < self.workers
+                ):
                     _, i = heapq.heappop(retry_heap)
                     if entries[i] is not None:
                         continue
@@ -894,13 +852,14 @@ class SweepRunner:
                 break  # everything resolved
 
             # How long may we block?  Until the nearest deadline or the
-            # nearest retry becoming ready, whichever comes first.
+            # nearest retry becoming ready (if a slot is free for it),
+            # whichever comes first.
             wait_timeout: Optional[float] = None
             horizons = [
                 flight.deadline for flight in pending.values()
                 if flight.deadline is not None
             ]
-            if retry_heap and not probing:
+            if retry_heap and not probing and len(pending) < self.workers:
                 horizons.append(retry_heap[0][0])
             if horizons:
                 wait_timeout = max(0.0, min(horizons) - time.monotonic())
@@ -1098,6 +1057,5 @@ class SweepRunner:
         return (
             f"SweepRunner(workers={self.workers}, "
             f"cache={getattr(self.cache, 'root', None)!r}, "
-            f"schedule={self.schedule!r}, "
             f"stats={self.stats.as_dict()})"
         )

@@ -11,21 +11,16 @@ orders only the *distinct* pending cycles.  A burst of N same-cycle
 events therefore costs N list appends plus one heap push, instead of N
 heap pushes of ``(time, seq, callback)`` tuples.
 
-Scheduling API contract
------------------------
-Two forms schedule work; both accept only integral times and preserve
-same-cycle FIFO order between each other:
-
-``at(time, callback)`` / ``after(delay, callback)``
-    The general form: *callback* is invoked with no arguments.  Use it
-    when a closure is natural or the call site is cold.
-
-``at_call(time, fn, arg)`` / ``after_call(delay, fn, arg)``
-    The closure-free fast path for hot components: *fn* is invoked as
-    ``fn(arg)``.  Callers pre-bind methods once (``self._cb =
-    self._tick``) and pass the varying state as *arg*, so scheduling an
-    event allocates no lambda and no bound method.  ``arg`` may be any
-    object, including ``None``.
+Scheduling contract
+-------------------
+One call schedules work: ``at(time, fn, arg)`` invokes ``fn(arg)`` at
+absolute cycle *time*.  Relative scheduling writes ``now + delay``.
+Callers pre-bind methods once (``self._cb = self._tick``) and pass the
+varying state as *arg*, so scheduling an event allocates no lambda and
+no bound method; ``arg`` may be any object, including ``None``, and a
+callback with nothing to receive takes and ignores it.  Events on one
+cycle run in FIFO order of scheduling.  A time before ``now`` raises
+:class:`SimulationError`.
 
 Times must be integral: an ``int``, or a float/numpy scalar whose value
 is a whole number (normalized to ``int``).  A fractional time raises
@@ -39,12 +34,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 __all__ = ["Engine", "SimulationError"]
 
-Callback = Callable[[], None]
-
-# Bucket slot marker for argument-less callbacks: buckets are flat
-# lists [fn0, arg0, fn1, arg1, ...] and _NO_ARG in the arg slot means
-# "call fn with no arguments".
-_NO_ARG = object()
+Callback = Callable[[Any], None]
 
 
 class SimulationError(RuntimeError):
@@ -58,10 +48,10 @@ class Engine:
     --------
     >>> engine = Engine()
     >>> fired = []
-    >>> engine.at(10, lambda: fired.append(engine.now))
+    >>> engine.at(10, fired.append, "tick")
     >>> engine.run()
     >>> fired
-    [10]
+    ['tick']
     """
 
     def __init__(self) -> None:
@@ -122,13 +112,15 @@ class Engine:
             )
         return itime
 
-    def _push(self, time: Any, fn: Callable[..., None], arg: Any) -> None:
+    def at(self, time: int, fn: Callback, arg: Any) -> None:
+        """Schedule ``fn(arg)`` at absolute cycle *time*."""
         if type(time) is not int:
             time = self._checked_time(time)
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event at {time}, current time is {self._now}"
             )
+        # Buckets are flat lists [fn0, arg0, fn1, arg1, ...].
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [fn, arg]
@@ -137,26 +129,6 @@ class Engine:
             bucket.append(fn)
             bucket.append(arg)
         self._scheduled += 1
-
-    def at(self, time: int, callback: Callback) -> None:
-        """Schedule *callback* (no arguments) at absolute cycle *time*."""
-        self._push(time, callback, _NO_ARG)
-
-    def after(self, delay: int, callback: Callback) -> None:
-        """Schedule *callback* *delay* cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay}")
-        self._push(self._now + delay, callback, _NO_ARG)
-
-    def at_call(self, time: int, fn: Callable[[Any], None], arg: Any) -> None:
-        """Closure-free fast path: schedule ``fn(arg)`` at cycle *time*."""
-        self._push(time, fn, arg)
-
-    def after_call(self, delay: int, fn: Callable[[Any], None], arg: Any) -> None:
-        """Closure-free fast path: schedule ``fn(arg)`` *delay* cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay}")
-        self._push(self._now + delay, fn, arg)
 
     # ------------------------------------------------------------------
     # Execution
@@ -206,10 +178,7 @@ class Engine:
                         arg = bucket[i + 1]
                         i += 2
                         self._events_processed += 1
-                        if arg is _NO_ARG:
-                            fn()
-                        else:
-                            fn(arg)
+                        fn(arg)
                         if budget >= 0:
                             budget -= 1
                             if budget <= 0 and self._scheduled > self._events_processed:

@@ -19,8 +19,8 @@ accumulate and are decoded, grouped per channel and scheduled by one
 FR-FCFS pass per controller per cycle instead of one Python event per
 request.  Warp issue is batched per SM the same way (one issue tick
 per port slot, see :mod:`repro.gpu.sm`), and all inter-component
-plumbing below schedules through the engine's closure-free
-``at_call``/``after_call`` fast path with pre-bound callbacks.
+plumbing below schedules through the engine's one ``at(time, fn,
+arg)`` call with pre-bound callbacks.
 
 Instrumentation captures everything the paper's evaluation plots:
 execution cycles, NoC packet latency (13a), LLC miss rate (13b),
@@ -278,8 +278,8 @@ class GPUSystem:
         # the dispatcher's least-loaded spread).
         self._ff_sm_cursor = 0
 
-        # Pre-bound callbacks for the engine's closure-free scheduling
-        # fast path: no lambda or bound-method allocation per packet.
+        # Pre-bound callbacks: no lambda or bound-method allocation
+        # per scheduled packet.
         self._slice_on_read = [s.on_read for s in self.slices]
         self._forward_read_cb = self._forward_read
         self._deliver_fill_cb = self._deliver_fill
@@ -378,7 +378,9 @@ class GPUSystem:
         self.llc_tracker.change(request.slice, +1, self.engine.now)
         delay = self._mapper_extra_latency
         if delay:
-            self.engine.after_call(delay, self._forward_read_cb, request)
+            self.engine.at(
+                self.engine.now + delay, self._forward_read_cb, request
+            )
         else:
             self._forward_read(request)
 
@@ -427,9 +429,9 @@ class GPUSystem:
     def _schedule_dram_flush(self) -> None:
         if not self._dram_flush_scheduled:
             self._dram_flush_scheduled = True
-            self.engine.at(self.engine.now, self._flush_dram_cb)
+            self.engine.at(self.engine.now, self._flush_dram_cb, None)
 
-    def _flush_dram_batch(self) -> None:
+    def _flush_dram_batch(self, _arg: object) -> None:
         """Hand this cycle's accumulated DRAM traffic to the controllers.
 
         Reads were decoded at trace preparation; writeback victim lines
@@ -1080,10 +1082,8 @@ class GPUSystem:
     def _replay_ops(self, sm_ids, lines, channels, banks, rows, slice_ids, writes):
         """Replay an ordered op stream functionally through the hierarchy.
 
-        Delegates to :mod:`repro.sim.replay` (the scalar oracle or the
-        vectorized structure-of-arrays backend, selected per process
-        via ``REPRO_REPLAY_BACKEND``); both leave equivalent state and
-        return ``(ops_replayed, estimated_noc_flits)``.
+        Delegates to :func:`repro.sim.replay.replay_ops`, which returns
+        ``(ops_replayed, estimated_noc_flits)``.
         """
         return replay_plane.replay_ops(
             self, sm_ids, lines, channels, banks, rows, slice_ids, writes

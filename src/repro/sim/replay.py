@@ -1,45 +1,31 @@
-"""Vectorized functional-replay backends (the "replay plane").
+"""The functional replay plane.
 
 The sampled/auto fidelity modes push large op streams through the
 warmed L1/LLC/DRAM-row state with no engine events (see
-:meth:`GPUSystem._replay_ops`).  This module provides two
-interchangeable backends for that work:
-
-``scalar``
-    The original per-op dict loops
-    (:meth:`~repro.gpu.cache.SetAssociativeCache.warm_through_many` /
-    ``warm_back_many`` per SM / LLC slice, and
-    :meth:`~repro.dram.controller.MemoryController.replay_traffic`
-    per channel).  Kept as the oracle.
-
-``vector`` (the default)
-    A structure-of-arrays path: ops are grouped by (cache, set) with
-    one stable argsort, the tag/LRU/dirty state of every touched set
-    is staged into dense numpy arrays, and the stream is consumed in
-    *rounds* — round ``k`` applies the k-th op of every still-active
-    group at once (broadcast tag compare, masked argmin victim
-    selection).  Ragged tails (a few hot sets with many more ops than
-    the rest) drop back to a per-op dict loop once the round width
-    collapses, so the worst case never degrades below the scalar
-    path.  DRAM traffic is replayed with one whole-channel pass
-    (:meth:`~repro.dram.controller.MemoryController.replay_traffic_vector`).
+:meth:`GPUSystem._replay_ops`).  This module does that work with a
+structure-of-arrays engine: ops are grouped by (cache, set) with one
+stable argsort, the tag/LRU/dirty state of every touched set is staged
+into dense numpy arrays, and the stream is consumed in *rounds* —
+round ``k`` applies the k-th op of every still-active group at once
+(broadcast tag compare, masked argmin victim selection).  Ragged tails
+(a few hot sets with many more ops than the rest) drop back to a
+per-op dict loop once the round width collapses, and sparse streams
+skip the grouping altogether.  DRAM traffic is replayed with one
+whole-channel pass per controller
+(:meth:`~repro.dram.controller.MemoryController.replay_traffic`).
 
 **Equivalence contract** (enforced by ``tests/sim/test_replay_equiv.py``
-and the CI ``replay-equiv`` job): both backends produce byte-identical
-*observable* state — every stats counter (cache hits/misses,
-evictions, writebacks, DRAM activates/row-hits/conflicts, power-model
-inputs), the forwarded-op set, the DRAM traffic streams (order
-included), the open rows, and the resident (line, dirty) contents of
-every cache set in the same recency order.  The internal LRU tick
-values differ (the vector backend stamps each touched op with a
-per-stream position instead of a per-bump counter), which is
-unobservable: victim selection depends only on the relative recency
+against the scalar per-op reference in ``tests/sim/replay_reference.py``
+and the CI replay-equivalence job): the replay leaves the *observable*
+state a per-op, per-cache pass in stream order would — every stats
+counter (cache hits/misses, evictions, writebacks, DRAM
+activates/row-hits/conflicts, power-model inputs), the forwarded-op
+set, the DRAM traffic streams (order included), the open rows, and the
+resident (line, dirty) contents of every cache set in the same recency
+order.  Only the internal LRU tick values differ (each touched op is
+stamped with its stream position instead of a per-bump counter), which
+is unobservable: victim selection depends only on the relative recency
 order *within* a set, and the absolute counter never reaches a report.
-
-The backend is selected per process via ``REPRO_REPLAY_BACKEND``
-(``vector`` | ``scalar``), read lazily at replay time so tests can
-flip it with ``monkeypatch.setenv``.  It never enters cache keys:
-both backends produce the same results by contract.
 
 The module also owns the **kernel-stream** form used by the
 cross-run warmed-state cache
@@ -54,24 +40,18 @@ raw addresses once (one GF(2) pass) and replays.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
-    "BACKEND_ENV",
-    "replay_backend",
     "replay_ops",
     "warm_through_vector",
     "warm_back_vector",
     "KernelStream",
     "build_kernel_stream",
 ]
-
-BACKEND_ENV = "REPRO_REPLAY_BACKEND"
-_BACKENDS = ("vector", "scalar")
 
 # Round width below which the grouped pass stops and the remaining
 # (ragged-tail) groups finish on the per-op dict loop: with only a
@@ -84,7 +64,7 @@ _TAIL_CUTOFF = 24
 # back costs a Python loop over groups, which only amortizes when
 # each group carries many ops.  Sparse streams (the common case at
 # small scales, where most sets see a handful of ops) run the direct
-# per-op pass instead, which is never slower than the scalar oracle.
+# per-op pass instead.
 # Measured crossover (random streams, 1-16 caches, 64-256 sets):
 # grouped pulls ahead of direct at ~12-16 ops/group and reaches
 # ~3-4x at >=64 ops/group.
@@ -93,20 +73,8 @@ _DENSE_OPS_PER_GROUP = 12
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def replay_backend() -> str:
-    """The active replay backend (``vector`` unless overridden)."""
-    value = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if not value:
-        return "vector"
-    if value not in _BACKENDS:
-        raise ValueError(
-            f"{BACKEND_ENV} must be one of {_BACKENDS}, got {value!r}"
-        )
-    return value
-
-
 # ----------------------------------------------------------------------
-# Grouped set-associative warm passes (vector backend)
+# Grouped set-associative warm passes
 # ----------------------------------------------------------------------
 def _grouped_warm(
     caches: Sequence,
@@ -125,10 +93,10 @@ def _grouped_warm(
 
     Recency stamps: op ``p`` touching its set is stamped ``base(cache)
     + 1 + p``, strictly increasing in op order per cache, so the
-    relative LRU order inside every set matches the scalar loops
-    exactly even though the absolute values differ (see module
-    docstring).  Afterwards each touched cache's counter is advanced
-    past every stamp.
+    relative LRU order inside every set matches a per-op pass exactly
+    even though the absolute values differ (see module docstring).
+    Afterwards each touched cache's counter is advanced past every
+    stamp.
     """
     n = int(lines.size)
     hit = np.zeros(n, dtype=bool)
@@ -284,9 +252,8 @@ def _direct_warm(
 
     Identical policy, outcomes, and ``base(cache) + 1 + p`` recency
     stamps — only the execution strategy differs (live dicts instead
-    of staged arrays).  Unlike the scalar oracle it needs no per-SM /
-    per-slice sub-stream segmentation, so it stays ahead of the
-    scalar path even when the grouped engine would not.
+    of staged arrays).  It needs no per-SM / per-slice sub-stream
+    segmentation.
     """
     n = int(lines.size)
     bases = [c.use_counter for c in caches]
@@ -371,13 +338,12 @@ def warm_through_vector(
     writes: np.ndarray,
     set_ids: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized ``warm_through_many`` across several same-geometry caches.
+    """Warm several same-geometry caches under the L1 policy.
 
-    L1 policy: write-through, no-write-allocate; read misses fill.
-    Returns the boolean forwarded mask (every write plus every read
-    miss).  Counter- and state-equivalent to calling
-    :meth:`~repro.gpu.cache.SetAssociativeCache.warm_through_many` on
-    each cache's sub-stream in op order (see module docstring).
+    Write-through, no-write-allocate; read misses fill.  Returns the
+    boolean forwarded mask (every write plus every read miss).
+    Counter- and state-equivalent to a per-op pass over each cache's
+    sub-stream in op order (see module docstring).
     """
     hit, evicted, _ = _grouped_warm(
         caches, cache_ids, lines, writes, set_ids, write_back=False
@@ -393,13 +359,12 @@ def warm_back_vector(
     writes: np.ndarray,
     set_ids: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``warm_back_many`` across several same-geometry caches.
+    """Warm several same-geometry caches under the LLC policy.
 
-    LLC policy: write-back, write-allocate; stores install dirty
-    without a fetch.  Returns ``(read_miss_mask, wb_line)`` where
-    ``wb_line[p]`` is the dirty victim line evicted by op ``p`` (or
-    -1): position-resolved writebacks, unlike the scalar API, so the
-    caller can reproduce the scalar path's emission order exactly.
+    Write-back, write-allocate; stores install dirty without a fetch.
+    Returns ``(read_miss_mask, wb_line)`` where ``wb_line[p]`` is the
+    dirty victim line evicted by op ``p`` (or -1): position-resolved
+    writebacks, so the caller can emit them in per-slice op order.
     """
     hit, evicted, wb_line = _grouped_warm(
         caches, cache_ids, lines, writes, set_ids, write_back=True
@@ -411,24 +376,6 @@ def warm_back_vector(
 # ----------------------------------------------------------------------
 # Whole-stream replay through the hierarchy
 # ----------------------------------------------------------------------
-def replay_ops(
-    system, sm_ids, lines, channels, banks, rows, slice_ids, writes
-) -> Tuple[int, int]:
-    """Replay an ordered op stream through *system*'s hierarchy.
-
-    Dispatches to the scalar or vector backend (module docstring);
-    both return ``(ops_replayed, estimated_noc_flits)`` and leave the
-    system in equivalent state.
-    """
-    if replay_backend() == "scalar":
-        return _replay_ops_scalar(
-            system, sm_ids, lines, channels, banks, rows, slice_ids, writes
-        )
-    return _replay_ops_vector(
-        system, sm_ids, lines, channels, banks, rows, slice_ids, writes
-    )
-
-
 def _noc_flits_for(system, n_forwarded: int, n_forwarded_writes: int) -> int:
     """Estimated NoC flits for forwarded replay traffic.
 
@@ -443,111 +390,18 @@ def _noc_flits_for(system, n_forwarded: int, n_forwarded_writes: int) -> int:
     )
 
 
-def _replay_ops_scalar(
+def replay_ops(
     system, sm_ids, lines, channels, banks, rows, slice_ids, writes
 ) -> Tuple[int, int]:
-    """The original per-op replay loops (the oracle backend).
+    """Replay an ordered op stream through *system*'s hierarchy.
 
-    L1 filtering happens per SM (each SM sees its own sub-stream,
-    order preserved), surviving traffic is grouped per LLC slice, and
-    the resulting DRAM reads plus dirty-victim writebacks are replayed
-    through the per-bank row-buffer state machines.
-    """
-    total_ops = len(lines)
-    if not total_ops:
-        return 0, 0
-    sm_arr = np.asarray(sm_ids, dtype=np.int64)
-    lines_arr = np.asarray(lines, dtype=np.uint64)
-    writes_arr = np.asarray(writes, dtype=bool)
-    # Set hashing depends only on geometry, and every SM shares one
-    # L1 geometry — one vectorized pass covers the whole stream.
-    l1_set_ids = system.sms[0].l1.set_indices_array(lines_arr)
-    order = np.argsort(sm_arr, kind="stable")
-    sorted_sm = sm_arr[order]
-    bounds = [
-        0,
-        *(np.flatnonzero(np.diff(sorted_sm)) + 1).tolist(),
-        total_ops,
-    ]
-    keep = np.zeros(total_ops, dtype=bool)
-    for start, end in zip(bounds, bounds[1:]):
-        positions = order[start:end]
-        kept = system.sms[int(sorted_sm[start])].warm_l1(
-            lines_arr[positions].tolist(),
-            writes_arr[positions].tolist(),
-            set_ids=l1_set_ids[positions].tolist(),
-        )
-        if kept:
-            keep[positions[np.asarray(kept, dtype=np.int64)]] = True
-    forwarded = np.flatnonzero(keep)
-    if not forwarded.size:
-        return total_ops, 0
-    fwd_write_count = int(writes_arr[forwarded].sum())
-    noc_flits = _noc_flits_for(system, forwarded.size, fwd_write_count)
-    # Post-L1 traffic grouped per LLC slice in replay order (a slice
-    # only ever sees its own sub-stream); LLC slices also share one
-    # geometry, so set indices again come from one pass.
-    slice_arr = np.asarray(slice_ids, dtype=np.int64)[forwarded]
-    llc_set_ids = system.slices[0].cache.set_indices_array(
-        lines_arr[forwarded]
-    )
-    chan_arr = np.asarray(channels, dtype=np.int64)
-    bank_arr = np.asarray(banks, dtype=np.int64)
-    row_arr = np.asarray(rows, dtype=np.int64)
-    s_order = np.argsort(slice_arr, kind="stable")
-    sorted_slice = slice_arr[s_order]
-    bounds = [
-        0,
-        *(np.flatnonzero(np.diff(sorted_slice)) + 1).tolist(),
-        forwarded.size,
-    ]
-    miss_channel_parts: List[np.ndarray] = []
-    miss_bank_parts: List[np.ndarray] = []
-    miss_row_parts: List[np.ndarray] = []
-    writeback_parts: List[np.ndarray] = []
-    for start, end in zip(bounds, bounds[1:]):
-        relative = s_order[start:end]
-        positions = forwarded[relative]
-        miss_positions, victims = system.slices[
-            int(sorted_slice[start])
-        ].warm_many(
-            lines_arr[positions].tolist(),
-            writes_arr[positions].tolist(),
-            set_ids=llc_set_ids[relative].tolist(),
-        )
-        if miss_positions:
-            missed = positions[np.asarray(miss_positions, dtype=np.int64)]
-            miss_channel_parts.append(chan_arr[missed])
-            miss_bank_parts.append(bank_arr[missed])
-            miss_row_parts.append(row_arr[missed])
-        if victims:
-            writeback_parts.append(np.asarray(victims, dtype=np.uint64))
-    empty = np.empty(0, dtype=np.int64)
-    read_ch = np.concatenate(miss_channel_parts) if miss_channel_parts else empty
-    read_banks = np.concatenate(miss_bank_parts) if miss_bank_parts else empty
-    read_rows = np.concatenate(miss_row_parts) if miss_row_parts else empty
-    if writeback_parts:
-        wb_ch, wb_banks, wb_rows = _decode_writebacks(
-            system, np.concatenate(writeback_parts)
-        )
-    else:
-        wb_ch = wb_banks = wb_rows = empty
-    _replay_dram(
-        system, read_ch, read_banks, read_rows, wb_ch, wb_banks, wb_rows,
-        vector=False,
-    )
-    return total_ops, noc_flits
-
-
-def _replay_ops_vector(
-    system, sm_ids, lines, channels, banks, rows, slice_ids, writes
-) -> Tuple[int, int]:
-    """Structure-of-arrays replay: grouped warm passes, same outputs.
-
-    Mirrors :func:`_replay_ops_scalar` stage for stage; the DRAM
-    streams are re-sorted to (slice, op) order so read fetches and
-    writebacks arrive per channel exactly as the scalar path emits
-    them (slice-major, op order within slice).
+    L1 filtering (every SM in one grouped pass), then the surviving
+    traffic through the LLC slices, then the resulting DRAM reads plus
+    dirty-victim writebacks through the per-bank row-buffer state.
+    The DRAM streams are sorted to (slice, op) order, so each channel
+    sees its read fetches slice-major in op order within a slice, then
+    its writebacks in the same order.  Returns ``(ops_replayed,
+    estimated_noc_flits)``.
     """
     total_ops = len(lines)
     if not total_ops:
@@ -580,7 +434,7 @@ def _replay_ops_vector(
     bank_arr = np.asarray(banks, dtype=np.int64)
     row_arr = np.asarray(rows, dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)
-    # Slice-major emission order, matching the scalar per-slice loop.
+    # Slice-major emission order, op order within a slice.
     miss_rel = np.flatnonzero(read_miss_mask)
     miss_rel = miss_rel[np.argsort(slice_arr[miss_rel], kind="stable")]
     if miss_rel.size:
@@ -599,8 +453,7 @@ def _replay_ops_vector(
     else:
         wb_ch = wb_banks = wb_rows = empty
     _replay_dram(
-        system, read_ch, read_banks, read_rows, wb_ch, wb_banks, wb_rows,
-        vector=True,
+        system, read_ch, read_banks, read_rows, wb_ch, wb_banks, wb_rows
     )
     return total_ops, noc_flits
 
@@ -618,12 +471,11 @@ def _decode_writebacks(system, wb_lines_u64: np.ndarray):
 
 
 def _replay_dram(
-    system, read_ch, read_banks, read_rows, wb_ch, wb_banks, wb_rows,
-    vector: bool,
+    system, read_ch, read_banks, read_rows, wb_ch, wb_banks, wb_rows
 ) -> None:
     """Replay decoded DRAM traffic per channel (reads then writebacks).
 
-    Per-channel streams keep the old arrival order: read fetches in
+    Per-channel streams keep their arrival order: read fetches in
     slice-major order, then writebacks in slice-major order.
     """
     all_ch = np.concatenate([read_ch, wb_ch])
@@ -644,12 +496,7 @@ def _replay_dram(
     for start, end in zip(bounds, bounds[1:]):
         segment = c_order[start:end]
         channel = int(sorted_ch[start])
-        controller = system.dram.controllers[channel]
-        replay = (
-            controller.replay_traffic_vector if vector
-            else controller.replay_traffic
-        )
-        replay(
+        system.dram.controllers[channel].replay_traffic(
             all_banks[segment], all_rows[segment],
             int(reads_per[channel]), int(writes_per[channel]),
         )
@@ -666,7 +513,7 @@ class KernelStream:
     order; ``tb_ordinals[i]`` is the issuing TB's 0-based index within
     the kernel.  Waves (``tb_ordinal // wave_cap``) are contiguous and
     non-decreasing; each wave is replayed as one call, preserving the
-    scalar path's per-wave DRAM grouping.  ``n_tbs`` counts *every* TB
+    per-wave DRAM grouping of the context-based replay.  ``n_tbs`` counts *every* TB
     of the kernel (including ones that contributed no ops) so the
     fast-forward SM cursor advances identically whether the stream was
     rebuilt or loaded from the state cache.

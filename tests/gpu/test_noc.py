@@ -16,7 +16,8 @@ class TestDelivery:
     def test_single_packet_latency(self):
         engine, noc = build()
         arrived = []
-        noc.send(0, 0, flits=4, on_delivered=lambda: arrived.append(engine.now))
+        noc.send(0, 0, flits=4,
+                 on_delivered=lambda _: arrived.append(engine.now), arg=None)
         engine.run()
         assert arrived == [4 + 10]
 
@@ -24,25 +25,25 @@ class TestDelivery:
         """Two packets to one output port queue behind each other."""
         engine, noc = build()
         arrived = []
-        noc.send(0, 1, 4, lambda: arrived.append(engine.now))
-        noc.send(1, 1, 4, lambda: arrived.append(engine.now))
+        noc.send(0, 1, 4, lambda _: arrived.append(engine.now), None)
+        noc.send(1, 1, 4, lambda _: arrived.append(engine.now), None)
         engine.run()
         assert arrived == [14, 18]
 
     def test_different_ports_parallel(self):
         engine, noc = build()
         arrived = []
-        noc.send(0, 0, 4, lambda: arrived.append(engine.now))
-        noc.send(1, 1, 4, lambda: arrived.append(engine.now))
+        noc.send(0, 0, 4, lambda _: arrived.append(engine.now), None)
+        noc.send(1, 1, 4, lambda _: arrived.append(engine.now), None)
         engine.run()
         assert arrived == [14, 14]
 
     def test_port_frees_over_time(self):
         engine, noc = build()
         arrived = []
-        noc.send(0, 0, 4, lambda: arrived.append(engine.now))
+        noc.send(0, 0, 4, lambda _: arrived.append(engine.now), None)
         engine.run()
-        noc.send(0, 0, 4, lambda: arrived.append(engine.now))
+        noc.send(0, 0, 4, lambda _: arrived.append(engine.now), None)
         engine.run()
         # Second packet starts fresh, not queued.
         assert arrived[1] - arrived[0] == 14
@@ -51,8 +52,8 @@ class TestDelivery:
 class TestStats:
     def test_latency_recorded(self):
         engine, noc = build()
-        noc.send(0, 0, 4, lambda: None)
-        noc.send(0, 0, 4, lambda: None)
+        noc.send(0, 0, 4, lambda _: None, None)
+        noc.send(0, 0, 4, lambda _: None, None)
         engine.run()
         assert noc.stats.packets == 2
         assert noc.stats.flits == 8
@@ -61,8 +62,8 @@ class TestStats:
 
     def test_backlog(self):
         engine, noc = build()
-        noc.send(0, 0, 4, lambda: None)
-        noc.send(0, 0, 4, lambda: None)
+        noc.send(0, 0, 4, lambda _: None, None)
+        noc.send(0, 0, 4, lambda _: None, None)
         assert noc.port_backlog(0) == 8
         assert noc.port_backlog(1) == 0
 
@@ -71,14 +72,14 @@ class TestValidation:
     def test_bad_ports(self):
         engine, noc = build()
         with pytest.raises(ValueError):
-            noc.send(99, 0, 1, lambda: None)
+            noc.send(99, 0, 1, lambda _: None, None)
         with pytest.raises(ValueError):
-            noc.send(0, 99, 1, lambda: None)
+            noc.send(0, 99, 1, lambda _: None, None)
 
     def test_zero_flits(self):
         engine, noc = build()
         with pytest.raises(ValueError):
-            noc.send(0, 0, 0, lambda: None)
+            noc.send(0, 0, 0, lambda _: None, None)
 
     def test_bad_geometry(self):
         with pytest.raises(ValueError):

@@ -9,9 +9,11 @@ per-access fold loop, reproduced verbatim below.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.gpu.cache import SetAssociativeCache
+from repro.sim.replay import warm_back_vector, warm_through_vector
 
 
 def reference_set_index(cache: SetAssociativeCache, line_address: int) -> int:
@@ -83,17 +85,29 @@ class TestSetIndexEquivalence:
         assert SetAssociativeCache(64, 8, 128, hash_sets=False)._fold_shifts is None
 
 
+def bulk_args(cache, lines, writes):
+    """One cache's stream in the replay plane's array form."""
+    lines = np.asarray(lines, dtype=np.int64)
+    return (
+        [cache], np.zeros(lines.size, dtype=np.int64), lines,
+        np.asarray(writes, dtype=bool),
+        cache.set_indices_array(lines.astype(np.uint64)),
+    )
+
+
 class TestWarmPaths:
     """The bulk warm replays must match the event-driven cache paths."""
 
     def test_warm_through_matches_l1_policy(self):
-        """warm_through_many == try_read/count_miss/fill + write_through."""
+        """warm_through == try_read/count_miss/fill + write_through."""
         rng = random.Random(3)
         lines = [rng.randrange(64) * 128 for _ in range(400)]
         writes = [rng.random() < 0.3 for _ in range(400)]
 
         bulk = SetAssociativeCache(8, 2, 128)
-        forwarded = bulk.warm_through_many(lines, writes)
+        forwarded = np.flatnonzero(
+            warm_through_vector(*bulk_args(bulk, lines, writes))
+        ).tolist()
 
         step = SetAssociativeCache(8, 2, 128)
         expected_forward = []
@@ -112,13 +126,15 @@ class TestWarmPaths:
         assert bulk.resident_lines() == step.resident_lines()
 
     def test_warm_back_matches_llc_policy(self):
-        """warm_back_many == on_read/on_write tag behaviour, timeless."""
+        """warm_back == on_read/on_write tag behaviour, timeless."""
         rng = random.Random(5)
         lines = [rng.randrange(48) * 128 for _ in range(400)]
         writes = [rng.random() < 0.4 for _ in range(400)]
 
         bulk = SetAssociativeCache(4, 2, 128)
-        miss_positions, writebacks = bulk.warm_back_many(lines, writes)
+        miss_mask, wb_line = warm_back_vector(*bulk_args(bulk, lines, writes))
+        miss_positions = np.flatnonzero(miss_mask).tolist()
+        writebacks = wb_line[wb_line >= 0].tolist()
 
         step = SetAssociativeCache(4, 2, 128)
         expected_misses, expected_writebacks = [], []

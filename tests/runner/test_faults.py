@@ -10,6 +10,7 @@ whether a result is produced, never what it is.
 
 import json
 import math
+import multiprocessing
 import os
 import time
 
@@ -223,19 +224,22 @@ class TestQuarantine:
         results = runner.run_many(GRID.configs())
         assert all(r is not None for r in results)
 
-    def test_poison_exit_isolated_by_bisection(self, monkeypatch):
-        """A poison config inside a multi-config batch is pinned by
-        re-running halves and quarantined without losing its batchmates."""
-        # Force multi-config batches even on this small grid.
-        monkeypatch.setattr(SweepRunner, "_FUTURES_PER_WORKER", 1)
+    def test_poison_exit_isolated_by_bisection(self):
+        """A worker death fails every in-flight future; the suspects are
+        pinned by re-running halves, and the poison config is
+        quarantined without losing the configs that flew beside it."""
         grid = SweepGrid(benchmarks=("SP", "MT", "HS"), schemes=("PM",),
                          scale=SCALE)
         with SweepRunner(workers=2) as runner:
             clean = sweep_report(grid, runner)
+        # MT/BASE, submitted just before MT/PM, sleeps first, so it is
+        # still in flight when MT/PM kills its worker: the crash has
+        # two suspects and must be bisected.
         with SweepRunner(workers=2, policy=FailurePolicy(
                              max_retries=1, backoff_base=0.001,
                              backoff_max=0.01),
-                         faults="exit@MT/PM:times=inf") as runner:
+                         faults="exit@MT/PM:times=inf; "
+                                "hang@MT/BASE:seconds=0.5,times=inf") as runner:
             report = sweep_report(grid, runner, strict=False)
         assert [f["benchmark"] for f in report["failures"]] == ["MT"]
         assert report["failures"][0]["kind"] == "worker-crash"
@@ -249,12 +253,31 @@ class TestTimeout:
         with SweepRunner(workers=2, policy=policy,
                          faults="hang@SP/BASE:seconds=60,times=inf") as runner:
             report = sweep_report(GRID, runner, strict=False)
+        # The killed pool's workers are reaped, not left running.
+        assert multiprocessing.active_children() == []
         assert len(report["failures"]) == 1
         failure = report["failures"][0]
         assert failure["kind"] == "timeout"
         assert failure["benchmark"] == "SP" and failure["scheme"] == "BASE"
         assert failure["attempts"] == 1
         assert_survivors_identical(report, clean_report)
+
+    def test_queued_configs_do_not_time_out(self):
+        """A config waiting for a free worker is not charged for the
+        wait: every run below fits its timeout, though the grid takes
+        three rounds on two workers."""
+        grid = SweepGrid(benchmarks=("SP", "MT", "HS"), schemes=("PM",),
+                         scale=SCALE)
+        assert len(grid.configs()) == 6
+        with SweepRunner(workers=2) as runner:
+            clean = sweep_report(grid, runner)
+        policy = FailurePolicy(max_retries=0, timeout=1.0, timeout_grace=0.1)
+        with SweepRunner(workers=2, policy=policy,
+                         faults="hang@*/*:seconds=0.5,times=inf") as runner:
+            report = sweep_report(grid, runner, strict=False)
+        assert "failures" not in report
+        assert runner.stats.executed == 6
+        assert render_report(report) == render_report(clean)
 
 
 class TestCacheFaults:

@@ -1,12 +1,11 @@
-"""Sharded sweep execution: partition invariants, merge identity, scheduling.
+"""Sharded sweep execution: partition invariants, merge identity, estimates.
 
 The load-bearing guarantees of the distributed front-end:
 
 * shards are pairwise disjoint, their union is the full grid, and the
   partition is stable across invocations (property-based over grids),
 * ``repro merge`` output is byte-identical to an unsharded sweep,
-* longest-job-first planning covers every job exactly once and
-  balances estimated load,
+* runtime estimates (the progress ETA) prefer recorded evidence,
 * the claim protocol never loses results (steal, stale takeover).
 """
 
@@ -30,7 +29,6 @@ from repro.runner import (
     default_workers,
     estimate_runtimes,
     merge_shard_reports,
-    plan_buckets,
     render_report,
     report_from_cache,
     shard_owner,
@@ -193,29 +191,6 @@ class TestMerge:
 
 
 class TestScheduling:
-    def test_plan_buckets_covers_exactly_once(self):
-        estimates = [5.0, 1.0, 3.0, 2.0, 4.0, 0.5, 2.5]
-        buckets = plan_buckets(estimates, 3)
-        flat = sorted(i for b in buckets for i in b)
-        assert flat == list(range(len(estimates)))
-        assert len(buckets) <= 3
-
-    def test_plan_buckets_longest_first_and_balanced(self):
-        estimates = [1.0, 10.0, 1.0, 1.0]
-        buckets = plan_buckets(estimates, 2)
-        # The 10s job leads its own bucket; the three 1s jobs share.
-        loads = sorted(sum(estimates[i] for i in b) for b in buckets)
-        assert loads == [3.0, 10.0]
-        assert all(b[0] == max(b, key=lambda i: estimates[i]) for b in buckets)
-
-    def test_plan_buckets_deterministic(self):
-        estimates = [2.0, 2.0, 2.0, 1.0, 1.0]
-        assert plan_buckets(estimates, 2) == plan_buckets(estimates, 2)
-
-    def test_plan_buckets_degenerate(self):
-        assert plan_buckets([], 4) == []
-        assert plan_buckets([1.0], 4) == [[0]]
-
     def test_estimates_prefer_recorded_runtimes(self):
         configs = [
             RunConfig("MT", "PAE", scale=0.5),
@@ -246,10 +221,6 @@ class TestScheduling:
         config = RunConfig("SP", "PAE", scale=0.5)
         est = estimate_runtimes([config], [{"wall_seconds": "junk"}, {}])
         assert est[0] > 0
-
-    def test_bad_schedule_rejected(self):
-        with pytest.raises(ValueError, match="schedule"):
-            SweepRunner(schedule="random")
 
 
 class TestDefaultWorkers:

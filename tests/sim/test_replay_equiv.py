@@ -1,16 +1,16 @@
-"""Scalar vs vectorized replay: byte-identical counters and warmed state.
+"""Replay plane vs the scalar reference: identical counters and state.
 
-PR 10 rewrote the functional replay plane (``repro.sim.replay``) as a
-structure-of-arrays engine.  These property tests pin the rewrite to
-the scalar loops that remain in the tree as the oracle: over random op
-streams (and the degenerate 0-op / 1-op cases, and non-power-of-two
-set counts), the vectorized warm passes must report identical stats,
-identical forwarded / miss / writeback outcomes in identical order,
-and leave every set holding the same (line, dirty) entries in the same
-recency order.
+The functional replay plane (``repro.sim.replay``) is a
+structure-of-arrays engine.  These property tests pin it to the
+per-op reference loops in ``replay_reference.py`` (test-only): over
+random op streams (and the degenerate 0-op / 1-op cases, and
+non-power-of-two set counts), the production warm passes must report
+identical stats, identical forwarded / miss / writeback outcomes in
+identical order, and leave every set holding the same (line, dirty)
+entries in the same recency order.
 
-The absolute LRU tick values are allowed to differ — the vector
-backend stamps stream positions rather than per-bump counters — so
+The absolute LRU tick values are allowed to differ — the production
+engine stamps stream positions rather than per-bump counters — so
 warmed state is compared by recency *rank* within each set, which is
 the only thing victim selection ever reads.
 """
@@ -20,15 +20,15 @@ import random
 import numpy as np
 import pytest
 
+import replay_reference
 from repro.core import hynix_gddr5_map
 from repro.gpu.cache import SetAssociativeCache
 from repro.registry import make_scheme, make_workload
+from repro.sim import replay
 from repro.sim.fidelity import parse_fidelity
 from repro.sim.gpu_system import GPUSystem, plan_auto
 from repro.sim.replay import (
-    BACKEND_ENV,
     build_kernel_stream,
-    replay_backend,
     warm_back_vector,
     warm_through_vector,
 )
@@ -42,7 +42,7 @@ def canonical_state(cache):
 
     Use values are unique within a cache, so recency rank is
     well-defined; comparing ranks instead of raw ticks makes the check
-    backend-agnostic.
+    independent of how ticks are stamped.
     """
     state = []
     for set_id in range(cache.sets):
@@ -77,10 +77,10 @@ def make_caches(n_caches, sets, ways):
 
 
 def scalar_reference(caches, cache_ids, lines, writes, set_ids, policy):
-    """Run each cache's sub-stream through the scalar oracle.
+    """Run each cache's sub-stream through the scalar reference.
 
     Returns per-cache ``(sub_positions, result)`` where *result* is
-    whatever the scalar method returned for that cache.
+    whatever the reference loop returned for that cache.
     """
     out = {}
     for c, cache in enumerate(caches):
@@ -91,9 +91,9 @@ def scalar_reference(caches, cache_ids, lines, writes, set_ids, policy):
             [int(s) for s in set_ids[sub]],
         )
         if policy == "through":
-            out[c] = (sub, cache.warm_through_many(*args))
+            out[c] = (sub, replay_reference.warm_through_many(cache, *args))
         else:
-            out[c] = (sub, cache.warm_back_many(*args))
+            out[c] = (sub, replay_reference.warm_back_many(cache, *args))
     return out
 
 
@@ -188,33 +188,43 @@ class TestWarmBackEquiv:
         ids = np.zeros(3, dtype=np.int64)
         set_ids = cache_v[0].set_indices_array(lines.astype(np.uint64))
         _, wb_line = warm_back_vector(cache_v, ids, lines, writes, set_ids)
-        _, wbs = cache_r[0].warm_back_many(
-            [int(x) for x in lines], [bool(w) for w in writes],
+        _, wbs = replay_reference.warm_back_many(
+            cache_r[0], [int(x) for x in lines], [bool(w) for w in writes],
             [int(s) for s in set_ids],
         )
         assert [int(x) for x in wb_line[wb_line >= 0]] == wbs == [0, LINE]
 
 
+def reference_run(monkeypatch, run):
+    """Call *run* with the scalar reference replacing the replay plane.
+
+    ``GPUSystem._replay_ops`` calls ``replay.replay_ops`` through the
+    module attribute, so patching it swaps the whole replay engine.
+    """
+    with monkeypatch.context() as patch:
+        patch.setattr(replay, "replay_ops", replay_reference.replay_ops)
+        return run()
+
+
 class TestFullSystemEquiv:
-    """Twin systems, one per backend, must agree byte-for-byte."""
+    """Twin systems, production and reference replay, agree byte-for-byte."""
 
     @pytest.mark.parametrize("scheme_name", ["BASE", "PAE"])
     def test_auto_run_results_identical(self, scheme_name, monkeypatch):
         workload = make_workload("SC", scale=0.5)  # has estimated kernels
         fidelity = parse_fidelity("auto")
-        results = {}
-        for backend in ("scalar", "vector"):
-            monkeypatch.setenv(BACKEND_ENV, backend)
+
+        def run():
             system = GPUSystem(make_scheme(scheme_name, AMAP))
-            results[backend] = system.run(
-                workload, fidelity=fidelity
-            ).to_dict()
-        assert results["scalar"] == results["vector"]
+            return system.run(workload, fidelity=fidelity).to_dict()
+
+        assert reference_run(monkeypatch, run) == run()
 
     def test_auto_run_with_cached_stream_identical(self, monkeypatch,
                                                    tmp_path):
-        """A vector run replaying a cached stream equals a cold scalar
-        run: the state cache must never change observable results."""
+        """A production run replaying a cached stream equals a cold
+        reference run: the state cache must never change observable
+        results."""
         from repro.runner.state_cache import StateCache
 
         workload = make_workload("SC", scale=0.5)
@@ -222,12 +232,10 @@ class TestFullSystemEquiv:
         plan = plan_auto(workload, fidelity, AMAP)
         base = {"workload": "SC", "scale": 0.5, "memory": "gddr5"}
 
-        monkeypatch.setenv(BACKEND_ENV, "scalar")
-        cold = GPUSystem(make_scheme("BASE", AMAP)).run(
-            workload, fidelity=fidelity, auto_plan=plan
-        ).to_dict()
+        cold = reference_run(monkeypatch, lambda: GPUSystem(
+            make_scheme("BASE", AMAP)
+        ).run(workload, fidelity=fidelity, auto_plan=plan).to_dict())
 
-        monkeypatch.setenv(BACKEND_ENV, "vector")
         cache = StateCache(tmp_path / "state")
         first = GPUSystem(make_scheme("BASE", AMAP)).run(
             workload, fidelity=fidelity, auto_plan=plan,
@@ -276,18 +284,3 @@ class TestStreamBuild:
         assert stream.n_tbs == len(tbs)
         assert stream.wave_cap == 3
 
-
-class TestBackendSwitch:
-    def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert replay_backend() == "vector"
-
-    @pytest.mark.parametrize("value", ["scalar", "vector", " SCALAR "])
-    def test_explicit_values(self, value, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, value)
-        assert replay_backend() == value.strip().lower()
-
-    def test_invalid_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "simd")
-        with pytest.raises(ValueError, match="REPRO_REPLAY_BACKEND"):
-            replay_backend()
